@@ -70,12 +70,10 @@ bench-obs:
 	$(GO) test -run=NONE -bench='ObsOverheadDisabled|ObsOverheadEnabled' ./internal/core/
 
 # Shuffle benchmark sweep → BENCH_shuffle.json: copier chunk-fetch
-# allocation profile, copier pipeline depth, the D8 zero-copy responder
-# ablation (zerocopy vs staging arms), and the D9 three-arm fetch
-# ablation (read vs zerocopy vs staging, with responder busy-time and
-# send counts per fetch).
+# allocation profile, observability overhead, copier pipeline depth, and
+# the D13 connection-scaling sweep.
 bench-shuffle:
-	$(GO) test -run=NONE -bench='AblationZeroCopy|AblationFetchArm|FetchChunkAllocs' -benchtime=2000x ./internal/core/ > BENCH_shuffle.txt
+	$(GO) test -run=NONE -bench='FetchChunkAllocs' -benchtime=2000x ./internal/core/ > BENCH_shuffle.txt
 	$(GO) test -run=NONE -bench='ObsOverheadDisabled|ObsOverheadEnabled' ./internal/core/ >> BENCH_shuffle.txt
 	$(GO) test -run=NONE -bench='AblationOutstandingDepth' -benchtime=200x . >> BENCH_shuffle.txt
 	$(GO) test -run=NONE -bench='AblationConnScale' -benchtime=16x . >> BENCH_shuffle.txt
@@ -96,10 +94,10 @@ bench-conn:
 	@echo "merged conn-scaling sweep into BENCH_shuffle.json"
 
 # One-iteration smoke pass over every shuffle benchmark: the gate is
-# that the harnesses build, run, and their internal assertions (e.g.
-# "the read arm actually issued READs") hold — not the numbers.
+# that the harnesses build, run, and their internal assertions hold —
+# not the numbers.
 bench-smoke:
-	$(GO) test -run=NONE -bench='AblationFetchArm|AblationZeroCopy|FetchChunkAllocs' -benchtime=1x ./internal/core/
+	$(GO) test -run=NONE -bench='FetchChunkAllocs' -benchtime=1x ./internal/core/
 	$(GO) test -run=NONE -bench='AblationOutstandingDepth|AblationConnScale' -benchtime=1x .
 
 # D5 ablation: copier outstanding-request depth (bounce-buffer ring).

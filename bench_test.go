@@ -2,9 +2,10 @@
 // and figure of the paper's evaluation (§IV). Each BenchmarkFigNN target
 // reruns the corresponding experiment through the performance simulator
 // and reports the series the figure plots (virtual job seconds per
-// configuration, as benchmark metrics). BenchmarkFunctionalEngines and
-// the ablation/micro benchmarks exercise the functional plane on real
-// data. See EXPERIMENTS.md for the paper-vs-measured record.
+// configuration, as benchmark metrics). The ablation/micro benchmarks
+// exercise the functional plane on real data; the engine comparison
+// lives in internal/shuffle's BenchmarkFunctionalEngines. See
+// EXPERIMENTS.md for the paper-vs-measured record.
 package bench
 
 import (
@@ -18,8 +19,6 @@ import (
 	"rdmamr/internal/fabric"
 	"rdmamr/internal/kv"
 	"rdmamr/internal/mapred"
-	"rdmamr/internal/shuffle/hadoopa"
-	"rdmamr/internal/shuffle/httpshuffle"
 	"rdmamr/internal/sim"
 	"rdmamr/internal/storage"
 	"rdmamr/internal/ucr"
@@ -127,20 +126,6 @@ func runFunctionalTeraSortWith(b *testing.B, engine mapred.ShuffleEngine, conf *
 		c.Close()
 	}
 	b.SetBytes(rows * workload.TeraRecordLen)
-}
-
-// BenchmarkFunctionalEngines compares the three shuffle engines moving
-// real records through real transports (experiment E8).
-func BenchmarkFunctionalEngines(b *testing.B) {
-	b.Run("vanilla-http", func(b *testing.B) {
-		runFunctionalTeraSort(b, httpshuffle.New(), functionalConf(), 3000, "v")
-	})
-	b.Run("hadoop-a", func(b *testing.B) {
-		runFunctionalTeraSort(b, hadoopa.New(), functionalConf(), 3000, "h")
-	})
-	b.Run("osu-ib-rdma", func(b *testing.B) {
-		runFunctionalTeraSort(b, core.New(), functionalConf(), 3000, "o")
-	})
 }
 
 // BenchmarkAblationChunkedTransfer compares chunked key-value transfer

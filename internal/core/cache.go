@@ -39,10 +39,10 @@ const (
 // Registrar supplies registered backing store for cache entry bodies so
 // responders can serve them by scatter-gather RDMA without a staging
 // copy (D8). Since D13 it is satisfied by *mrpool.Pool: entries carve
-// window-advertised blocks out of the device's slab pool instead of
-// registering each body as its own region.
+// blocks out of the device's slab pool instead of registering each body
+// as its own region.
 type Registrar interface {
-	AllocRemote(n int, class string) (*mrpool.Block, error)
+	Alloc(n int, class string) (*mrpool.Block, error)
 }
 
 // cacheBody is the immutable backing store of one cache entry: the bytes,
@@ -50,10 +50,8 @@ type Registrar interface {
 // slab budget rejected them), and a reference count. The cache itself
 // holds one reference for as long as the entry is in the map; every
 // pinned CacheView holds another. The block is freed only when the last
-// reference drops, so an in-flight zero-copy send or remote READ lease
-// keeps its source bytes pinned even if the entry is evicted mid-transfer
-// — and the block's window invalidates at that same instant, so a READ
-// arriving later faults instead of observing reused slab bytes.
+// reference drops, so an in-flight zero-copy send keeps its source bytes
+// pinned even if the entry is evicted mid-transfer.
 type cacheBody struct {
 	data []byte
 	blk  *mrpool.Block
@@ -97,24 +95,6 @@ func (v *CacheView) MROffset() int {
 		return 0
 	}
 	return v.body.blk.Offset()
-}
-
-// Addr is the remote virtual address of Bytes[0] — the base one-sided
-// READ descriptors are built against (zero when unregistered).
-func (v *CacheView) Addr() uint64 {
-	if v.body.blk == nil {
-		return 0
-	}
-	return v.body.blk.Addr()
-}
-
-// RKey is the revocable window key advertised with Addr (zero when
-// unregistered).
-func (v *CacheView) RKey() uint32 {
-	if v.body.blk == nil {
-		return 0
-	}
-	return v.body.blk.RKey()
 }
 
 // Release drops the pin. Idempotent on the same view.
@@ -332,11 +312,11 @@ func (c *PrefetchCache) Put(key CacheKey, data []byte, priority int) bool {
 	body := &cacheBody{data: data}
 	body.refs.Store(1) // the cache's own reference
 	if r := c.getRegistrar(); r != nil && len(data) > 0 {
-		// Carve a window-advertised block from the device's slab pool and
-		// move the bytes into it, so the entry serves zero-copy sends and
-		// one-sided READs without its own registration. On budget rejection
-		// the entry caches unregistered (staging path) — degraded, not dead.
-		if blk, err := r.AllocRemote(len(data), "cache"); err == nil {
+		// Carve a block from the device's slab pool and move the bytes into
+		// it, so the entry serves zero-copy sends without its own
+		// registration. On budget rejection the entry caches unregistered
+		// (staging path) — degraded, not dead.
+		if blk, err := r.Alloc(len(data), "cache"); err == nil {
 			body.blk = blk
 			body.data = blk.Bytes()
 			copy(body.data, data)

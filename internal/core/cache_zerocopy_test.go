@@ -12,7 +12,7 @@ import (
 
 // trackingRegistrar carves from a real slab pool on an emulated device
 // and remembers every block it handed out, so tests can assert exactly
-// when each one was freed (and its window revoked).
+// when each one was freed.
 type trackingRegistrar struct {
 	pool *mrpool.Pool
 	mu   sync.Mutex
@@ -28,8 +28,8 @@ func newTrackingRegistrar(t *testing.T) *trackingRegistrar {
 	return &trackingRegistrar{pool: mrpool.For(dev)}
 }
 
-func (r *trackingRegistrar) AllocRemote(n int, class string) (*mrpool.Block, error) {
-	blk, err := r.pool.AllocRemote(n, class)
+func (r *trackingRegistrar) Alloc(n int, class string) (*mrpool.Block, error) {
+	blk, err := r.pool.Alloc(n, class)
 	if err != nil {
 		return nil, err
 	}
@@ -80,17 +80,10 @@ func TestCachePutRegistersEntries(t *testing.T) {
 	if !bytes.Equal(v.Bytes(), []byte("registered bytes")) {
 		t.Fatalf("view bytes = %q", v.Bytes())
 	}
-	// The view's bytes live inside the slab region at MROffset, and the
-	// entry advertises a revocable window over exactly that carve.
+	// The view's bytes live inside the slab region at MROffset.
 	off := v.MROffset()
 	if got := v.MR().Bytes()[off : off+len(v.Bytes())]; !bytes.Equal(got, v.Bytes()) {
 		t.Fatal("MROffset does not locate the entry inside the slab region")
-	}
-	if v.RKey() == 0 || v.Addr() == 0 {
-		t.Fatal("registered entry has no advertisable rkey/addr")
-	}
-	if v.RKey() == v.MR().RKey() {
-		t.Fatal("entry advertises the raw slab rkey — eviction could not revoke it")
 	}
 }
 
@@ -105,9 +98,6 @@ func TestCacheNoRegistrarServesNilMR(t *testing.T) {
 	if v.MR() != nil {
 		t.Fatal("unexpected region without registrar")
 	}
-	if v.RKey() != 0 || v.Addr() != 0 {
-		t.Fatal("unregistered entry advertises remote access")
-	}
 	if string(v.Bytes()) != "plain" {
 		t.Fatalf("bytes = %q", v.Bytes())
 	}
@@ -115,7 +105,7 @@ func TestCacheNoRegistrarServesNilMR(t *testing.T) {
 
 // TestCachePinnedEntrySurvivesEviction: an in-flight send's view keeps
 // the bytes valid and the block pinned after the entry is evicted; the
-// block is freed (and its window revoked) only on the last Release.
+// block is freed only on the last Release.
 func TestCachePinnedEntrySurvivesEviction(t *testing.T) {
 	reg := newTrackingRegistrar(t)
 	cache := NewPrefetchCache(100, "priority", nil)
@@ -139,13 +129,9 @@ func TestCachePinnedEntrySurvivesEviction(t *testing.T) {
 			t.Fatal("pinned bytes corrupted after eviction")
 		}
 	}
-	win := blk.Window()
 	v.Release()
 	if !blk.Freed() {
 		t.Fatal("block survived last release")
-	}
-	if !win.Dead() {
-		t.Fatal("window survived last release: stale READs would hit reused slab bytes")
 	}
 	v.Release() // idempotent
 }

@@ -24,8 +24,8 @@ import (
 // mapred.rdma.conn.cache.max live endpoints per device, the
 // least-recently-used idle one evicted first, and an idle-timeout sweep
 // retires connections nobody has leased for a while. A connection with
-// leases attached is never evicted — in-flight RDMA (including D9 READ
-// leases) always finishes or fails on transport terms, not cache terms.
+// leases attached is never evicted — in-flight RDMA always finishes or
+// fails on transport terms, not cache terms.
 
 // defaultConnCacheMax and defaultConnIdle mirror the config defaults for
 // planes used before any fetcher configures them.
@@ -41,7 +41,7 @@ var errConnEvicted = errors.New("core: connection evicted from cache")
 var connPlanes sync.Map // map[*verbs.Device]*connPlane
 
 // planeFor returns the device's connection plane, creating it on first
-// use. One plane per device for the life of the process.
+// use. One plane per device until closePlane retires it.
 func planeFor(dev *verbs.Device) *connPlane {
 	if p, ok := connPlanes.Load(dev); ok {
 		return p.(*connPlane)
@@ -55,6 +55,29 @@ func planeFor(dev *verbs.Device) *connPlane {
 	return p.(*connPlane)
 }
 
+// closePlane retires the device's connection plane: every cached
+// connection is torn down (waking its leases with ErrClosed) and the
+// device is forgotten here and in the shared health records. A plane
+// still referenced by a straggler refuses new leases; the next planeFor
+// for the device starts a fresh one.
+func closePlane(dev *verbs.Device) {
+	nodeHealth.Delete(dev)
+	v, ok := connPlanes.LoadAndDelete(dev)
+	if !ok {
+		return
+	}
+	p := v.(*connPlane)
+	p.mu.Lock()
+	p.closed = true
+	conns := p.conns
+	p.conns = make(map[string]*sharedConn)
+	p.mu.Unlock()
+	for _, sc := range conns {
+		<-sc.ready // a dial in flight settles before its endpoint can close
+		sc.teardown(ucr.ErrClosed)
+	}
+}
+
 // connPlane is the per-device endpoint multiplexer and LRU cache.
 type connPlane struct {
 	mu     sync.Mutex
@@ -63,6 +86,7 @@ type connPlane struct {
 	maxFor int // LRU cap on cached connections
 	idle   time.Duration
 	now    func() time.Time
+	closed bool // retired by closePlane: no new connections
 
 	counters *stats.Counters
 }
@@ -108,6 +132,10 @@ func (p *connPlane) open() int {
 func (p *connPlane) acquire(ctx context.Context, host string, buf int, dial func(context.Context) (*ucr.EndPoint, error)) (*connLease, uint64, error) {
 	for {
 		p.mu.Lock()
+		if p.closed {
+			p.mu.Unlock()
+			return nil, 0, fmt.Errorf("core: connection plane closed: %w", ucr.ErrClosed)
+		}
 		sc := p.conns[host]
 		created := false
 		if sc == nil {
@@ -170,7 +198,7 @@ func (p *connPlane) acquire(ctx context.Context, host string, buf int, dial func
 		}
 		seq := sc.nextSeq
 		sc.nextSeq++
-		l := &connLease{sc: sc, seq: seq, msgs: make(chan leaseMsg, buf), done: make(chan struct{})}
+		l := &connLease{sc: sc, seq: seq, msgs: make(chan *wire.DataResponse, buf), done: make(chan struct{})}
 		sc.leases[seq] = l
 		sc.refs++
 		sc.lastUse = p.now()
@@ -372,25 +400,13 @@ func (sc *sharedConn) pump() {
 			sc.kill(err)
 			return
 		}
-		var tag uint32
-		var lm leaseMsg
-		if len(msg) > 0 && msg[0] == wire.TypeReadManifest {
-			m, err := wire.DecodeReadManifest(msg)
-			if err != nil {
-				sc.kill(fmt.Errorf("%w: %v", errProtocol, err))
-				return
-			}
-			tag, lm = m.Tag, leaseMsg{man: m}
-		} else {
-			r, err := wire.DecodeDataResponse(msg)
-			if err != nil {
-				sc.kill(fmt.Errorf("%w: %v", errProtocol, err))
-				return
-			}
-			tag, lm = r.Tag, leaseMsg{resp: r}
+		r, err := wire.DecodeDataResponse(msg)
+		if err != nil {
+			sc.kill(fmt.Errorf("%w: %v", errProtocol, err))
+			return
 		}
 		sc.mu.Lock()
-		l := sc.leases[tag>>16]
+		l := sc.leases[r.Tag>>16]
 		sc.lastUse = sc.plane.now()
 		sc.mu.Unlock()
 		if l == nil {
@@ -398,16 +414,10 @@ func (sc *sharedConn) pump() {
 			continue
 		}
 		select {
-		case l.msgs <- lm:
+		case l.msgs <- r:
 		case <-l.done:
 		}
 	}
-}
-
-// leaseMsg is one routed frame: exactly one field is non-nil.
-type leaseMsg struct {
-	resp *wire.DataResponse
-	man  *wire.ReadManifest
 }
 
 // connLease is one fetcher's handle on a shared connection: a private
@@ -416,7 +426,7 @@ type leaseMsg struct {
 type connLease struct {
 	sc        *sharedConn
 	seq       uint32
-	msgs      chan leaseMsg
+	msgs      chan *wire.DataResponse
 	done      chan struct{}
 	closeOnce sync.Once
 }
@@ -429,19 +439,17 @@ func (l *connLease) Tag(slot uint32) uint32 { return l.seq<<16 | slot&0xffff }
 // Gen identifies the underlying connection incarnation (health dedupe).
 func (l *connLease) Gen() uint64 { return l.sc.gen }
 
-// Send delivers a message on the shared endpoint.
-func (l *connLease) Send(ctx context.Context, b []byte) error { return l.sc.ep.Send(ctx, b) }
+// Send delivers a message on the shared endpoint and waits for its
+// completion. It takes no context on purpose: abandoning a posted send
+// destroys the endpoint's QP, which every other lease on the connection
+// shares. A send always completes — delivered, or failed by the fabric.
+func (l *connLease) Send(b []byte) error { return l.sc.ep.Send(context.Background(), b) }
 
-// ReadSG issues a one-sided RDMA READ on the shared endpoint.
-func (l *connLease) ReadSG(ctx context.Context, sgl []verbs.SGE, raddr uint64, rkey uint32) error {
-	return l.sc.ep.ReadSG(ctx, sgl, raddr, rkey)
-}
-
-// Recv returns the next frame routed to this lease. When the connection
+// Recv returns the next response routed to this lease. When the connection
 // dies, buffered frames drain first, then the connection's cause
 // surfaces (a transport-classified error, so the copier's retry
 // machinery treats a shared-conn death exactly like a private one).
-func (l *connLease) Recv(ctx context.Context) (leaseMsg, error) {
+func (l *connLease) Recv(ctx context.Context) (*wire.DataResponse, error) {
 	select {
 	case m := <-l.msgs:
 		return m, nil
@@ -456,9 +464,9 @@ func (l *connLease) Recv(ctx context.Context) (leaseMsg, error) {
 			return m, nil
 		default:
 		}
-		return leaseMsg{}, l.sc.connErr()
+		return nil, l.sc.connErr()
 	case <-ctx.Done():
-		return leaseMsg{}, ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 

@@ -127,19 +127,16 @@ func (h *planeHarness) hosts() map[string]bool {
 func (h *planeHarness) echo(via, on *connLease, tag uint32) *wire.DataResponse {
 	h.t.Helper()
 	resp := &wire.DataResponse{MapID: int32(tag), Tag: tag}
-	if err := via.Send(h.ctx, resp.Encode()); err != nil {
+	if err := via.Send(resp.Encode()); err != nil {
 		h.t.Fatalf("send: %v", err)
 	}
 	ctx, cancel := context.WithTimeout(h.ctx, 5*time.Second)
 	defer cancel()
-	lm, err := on.Recv(ctx)
+	got, err := on.Recv(ctx)
 	if err != nil {
 		h.t.Fatalf("recv tag %#x: %v", tag, err)
 	}
-	if lm.resp == nil {
-		h.t.Fatalf("recv tag %#x: got manifest, want response", tag)
-	}
-	return lm.resp
+	return got
 }
 
 // TestConnPlaneSharesEndpoint: two leases to the same host share one
@@ -381,7 +378,7 @@ func TestConnPlaneStrayFrames(t *testing.T) {
 
 	live := h.acquire("tt1")
 	defer live.Close(false, nil)
-	if err := live.Send(h.ctx, (&wire.DataResponse{Tag: deadTag}).Encode()); err != nil {
+	if err := live.Send((&wire.DataResponse{Tag: deadTag}).Encode()); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -407,7 +404,7 @@ func TestConnLeaseDrainsBufferedOnDeath(t *testing.T) {
 
 	l := h.acquire("tt1")
 	for slot := uint32(0); slot < 2; slot++ {
-		if err := l.Send(h.ctx, (&wire.DataResponse{Tag: l.Tag(slot)}).Encode()); err != nil {
+		if err := l.Send((&wire.DataResponse{Tag: l.Tag(slot)}).Encode()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -422,12 +419,12 @@ func TestConnLeaseDrainsBufferedOnDeath(t *testing.T) {
 	boom := fmt.Errorf("injected conn death")
 	l.sc.kill(boom)
 	for slot := uint32(0); slot < 2; slot++ {
-		lm, err := l.Recv(h.ctx)
+		resp, err := l.Recv(h.ctx)
 		if err != nil {
 			t.Fatalf("buffered frame %d lost to conn death: %v", slot, err)
 		}
-		if lm.resp.Tag != l.Tag(slot) {
-			t.Fatalf("frame %d out of order: tag %#x", slot, lm.resp.Tag)
+		if resp.Tag != l.Tag(slot) {
+			t.Fatalf("frame %d out of order: tag %#x", slot, resp.Tag)
 		}
 	}
 	if _, err := l.Recv(h.ctx); !errors.Is(err, boom) {

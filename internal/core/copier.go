@@ -18,7 +18,6 @@ import (
 	"rdmamr/internal/shuffle/wire"
 	"rdmamr/internal/stats"
 	"rdmamr/internal/ucr"
-	"rdmamr/internal/verbs"
 )
 
 // chunk is one delivered shuffle packet for a segment.
@@ -201,38 +200,6 @@ type chunkReq struct {
 	// re-issued request keeps its original enq, so the span covers the
 	// full latency the reducer observed, retries included.
 	enq time.Time
-	// noRead forces the two-sided path for this request. Set after a READ
-	// against this offset faulted (lease expired, entry evicted): the
-	// re-issue must not ask for another manifest, or an aggressively
-	// evicting tracker could bounce the same chunk between arms forever.
-	// Survives takePending re-issues by riding in the request itself.
-	noRead bool
-}
-
-// readPlan is the copier-side life of one descriptor manifest (D9): the
-// remaining chunks the copier may READ under the manifest's lease, in
-// offset order. A plan dies by exhaustion (every chunk taken), by
-// mismatch (the segment asked for an offset other than the head — a
-// retry or recovery changed the stream), or by a READ fault. The last
-// in-flight chunk of a dead plan sends the eager LeaseRelease so the
-// server drops its pin before the deadline.
-type readPlan struct {
-	mapID    int
-	leaseID  uint64
-	rkey     uint32
-	chunks   []wire.ReadChunk // not yet taken; head is the next offset
-	pending  int              // chunks taken but not yet completed
-	released bool
-}
-
-// readJob is one chunk the read pump pulls one-sided: the slot it owns
-// (already registered in hc.pending), the owning request, the manifest
-// chunk describing the remote ranges, and the plan it came from.
-type readJob struct {
-	slot  uint32
-	req   chunkReq
-	entry wire.ReadChunk
-	plan  *readPlan
 }
 
 // hostPeer is the fetcher's long-lived handle on one TaskTracker. It
@@ -338,18 +305,13 @@ type hostConn struct {
 	// failures start a fresh streak.
 	progress atomic.Bool
 
-	// lastActive is the idle monitor's clock: UnixNano of the last send,
+	// lastActive is the idle check's clock: UnixNano of the last send,
 	// delivery, or queued demand.
 	lastActive atomic.Int64
-
-	// readCh feeds the read pumps. Capacity is depth: a job owns a slot,
-	// so there can never be more queued jobs than slots.
-	readCh chan readJob
 
 	mu       sync.Mutex
 	pending  map[uint32]pendingSlot // ring slot → in-flight request
 	unsent   []chunkReq             // claimed by sendLoop but never sent
-	plans    map[int]*readPlan      // mapID → live manifest plan
 	inFlight int
 	failErr  error
 	failed   chan struct{} // closed by the first abort
@@ -367,10 +329,10 @@ func (hc *hostConn) abort(err error) {
 	hc.mu.Unlock()
 }
 
-// touch stamps connection activity for the idle monitor.
+// touch stamps connection activity for the idle check.
 func (hc *hostConn) touch() { hc.lastActive.Store(time.Now().UnixNano()) }
 
-// errConnIdle is the clean cause the idle monitor aborts with: not a
+// errConnIdle is the clean cause the send pump retires with: not a
 // failure — no health hit, no retry budget, no backoff. The supervisor
 // parks until the next demand and redials lazily.
 var errConnIdle = errors.New("core: connection idle")
@@ -404,77 +366,6 @@ func (hc *hostConn) takePending() []chunkReq {
 	hc.unsent = nil
 	hc.inFlight = 0
 	return reqs
-}
-
-// planTake matches a request against the host's live plan for its map:
-// a hit pops the head chunk for a one-sided READ in place of a wire
-// request. A mismatch (retry or recovery moved the stream) abandons the
-// plan — its chunks describe offsets this segment will never ask for
-// again in order. staleID is the lease to release when an abandoned
-// plan has nothing in flight; the caller sends it outside the lock.
-func (hc *hostConn) planTake(mapID int, offset int64) (entry wire.ReadChunk, plan *readPlan, staleID uint64, ok bool) {
-	hc.mu.Lock()
-	defer hc.mu.Unlock()
-	p := hc.plans[mapID]
-	if p == nil {
-		return wire.ReadChunk{}, nil, 0, false
-	}
-	if len(p.chunks) == 0 || p.chunks[0].Offset != offset {
-		delete(hc.plans, mapID)
-		if p.pending == 0 && !p.released {
-			p.released = true
-			staleID = p.leaseID
-		}
-		return wire.ReadChunk{}, nil, staleID, false
-	}
-	entry = p.chunks[0]
-	p.chunks = p.chunks[1:]
-	p.pending++
-	if len(p.chunks) == 0 {
-		// Exhausted: detach now so the next request for this map sends a
-		// fresh read-capable wire request. The lease releases when the
-		// last in-flight chunk completes.
-		delete(hc.plans, mapID)
-	}
-	return entry, p, 0, true
-}
-
-// detachPlan abandons a plan (READ fault, replacement by a newer
-// manifest) and returns the lease to release if nothing is in flight.
-func (hc *hostConn) detachPlan(p *readPlan) uint64 {
-	hc.mu.Lock()
-	defer hc.mu.Unlock()
-	if hc.plans[p.mapID] == p {
-		delete(hc.plans, p.mapID)
-	}
-	if p.pending == 0 && !p.released {
-		p.released = true
-		return p.leaseID
-	}
-	return 0
-}
-
-// planDone retires one in-flight chunk and returns the lease to release
-// when the plan is drained or abandoned with nothing else in flight.
-func (hc *hostConn) planDone(p *readPlan) uint64 {
-	hc.mu.Lock()
-	defer hc.mu.Unlock()
-	p.pending--
-	if p.pending == 0 && hc.plans[p.mapID] != p && !p.released {
-		p.released = true
-		return p.leaseID
-	}
-	return 0
-}
-
-// releaseLease eagerly retires a server-side lease. Best-effort: on a
-// dying connection the send fails and the server's janitor collects the
-// lease at its deadline instead.
-func (hc *hostConn) releaseLease(ctx context.Context, id uint64) {
-	if id == 0 {
-		return
-	}
-	_ = hc.lease.Send(ctx, (&wire.LeaseRelease{LeaseID: id}).Encode())
 }
 
 // payloadPool recycles chunk payload buffers: the receive pump fills one
@@ -539,8 +430,6 @@ func (f *fetcher) dialConn(ctx context.Context, host string) (*hostConn, uint64,
 		slotSize: f.slotSize, depth: f.depth,
 		free:    make(chan uint32, f.depth),
 		pending: make(map[uint32]pendingSlot, f.depth),
-		readCh:  make(chan readJob, f.depth),
-		plans:   make(map[int]*readPlan),
 		failed:  make(chan struct{}),
 	}
 	hc.touch()
@@ -687,23 +576,9 @@ func (f *fetcher) runConn(ctx context.Context, p *hostPeer, hc *hostConn, orphan
 	wg.Add(2)
 	go func() { defer wg.Done(); f.sendLoop(cctx, p, hc, orphans) }()
 	go func() { defer wg.Done(); f.recvLoop(cctx, p, hc) }()
-	if f.readArm {
-		// One pump per slot: every queued readJob owns a slot, so depth
-		// pumps drain the channel at full pipeline depth. They join the
-		// same group as the wire pumps — takePending runs only after every
-		// goroutine that could touch hc.pending has parked.
-		for i := 0; i < hc.depth; i++ {
-			wg.Add(1)
-			go func() { defer wg.Done(); f.readPump(cctx, p, hc) }()
-		}
-	}
 	if f.reqTimeout > 0 {
 		wg.Add(1)
 		go func() { defer wg.Done(); f.watchdog(cctx, p, hc) }()
-	}
-	if f.connIdle > 0 {
-		wg.Add(1)
-		go func() { defer wg.Done(); f.idleMonitor(cctx, p, hc) }()
 	}
 	select {
 	case <-hc.failed:
@@ -720,35 +595,19 @@ func (f *fetcher) runConn(ctx context.Context, p *hostPeer, hc *hostConn, orphan
 	return err
 }
 
-// idleMonitor retires a connection that has carried no traffic for the
-// configured idle timeout. Retirement is clean (errConnIdle): the lease
-// releases, the ring unpins, and the supervisor parks until the next
-// demand — the lazy-dial arm of D13's connection cache.
-func (f *fetcher) idleMonitor(cctx context.Context, p *hostPeer, hc *hostConn) {
-	tick := f.connIdle / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
+// idle reports whether the connection has owed no response and carried
+// no traffic for d. Only the send pump asks, and only while it holds no
+// request, so a request can never be claimed between this check and the
+// retirement it licenses.
+func (hc *hostConn) idle(p *hostPeer, d time.Duration) bool {
+	hc.mu.Lock()
+	busy := hc.inFlight > 0 || len(hc.unsent) > 0
+	hc.mu.Unlock()
+	if busy || len(p.reqCh) > 0 {
+		hc.touch()
+		return false
 	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-cctx.Done():
-			return
-		case <-t.C:
-			hc.mu.Lock()
-			busy := hc.inFlight > 0 || len(hc.unsent) > 0
-			hc.mu.Unlock()
-			if busy || len(p.reqCh) > 0 {
-				hc.touch()
-				continue
-			}
-			if time.Duration(time.Now().UnixNano()-hc.lastActive.Load()) >= f.connIdle {
-				hc.abort(errConnIdle)
-				return
-			}
-		}
-	}
+	return time.Duration(time.Now().UnixNano()-hc.lastActive.Load()) >= d
 }
 
 // killPeer marks the host permanently dead for this fetcher and answers
@@ -824,8 +683,20 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // Orphans (re-issues from a previous connection) go out before new
 // requests. A request the pump claimed but could not put on the wire is
 // stashed for takePending, so no request is ever dropped.
+//
+// The pump also retires the connection once it has been quiet for the
+// idle timeout (errConnIdle): the lease releases, the ring unpins, and
+// the supervisor parks until the next demand — the lazy-dial arm of
+// D13's connection cache. Deciding this in the pump, between requests,
+// means retirement never cancels a send in flight.
 func (f *fetcher) sendLoop(cctx context.Context, p *hostPeer, hc *hostConn, orphans []chunkReq) {
 	var scratch []byte
+	var idleTick <-chan time.Time // nil: connections never idle out
+	if f.connIdle > 0 {
+		t := time.NewTicker(max(f.connIdle/4, time.Millisecond))
+		defer t.Stop()
+		idleTick = t.C
+	}
 	for {
 		var req chunkReq
 		if len(orphans) > 0 {
@@ -834,6 +705,12 @@ func (f *fetcher) sendLoop(cctx context.Context, p *hostPeer, hc *hostConn, orph
 		} else {
 			select {
 			case req = <-p.reqCh:
+			case <-idleTick:
+				if hc.idle(p, f.connIdle) {
+					hc.abort(errConnIdle)
+					return
+				}
+				continue
 			case <-cctx.Done():
 				return
 			}
@@ -866,23 +743,6 @@ func (f *fetcher) sendLoop(cctx context.Context, p *hostPeer, hc *hostConn, orph
 		hc.mu.Unlock()
 		f.cOutPeak.Max(int64(depthNow))
 		f.prof.SlotOccupancy(depthNow)
-		if f.readArm && !req.noRead {
-			entry, plan, staleID, hit := hc.planTake(req.mapID, req.offset)
-			hc.releaseLease(cctx, staleID)
-			if hit {
-				// The live manifest already covers this offset: hand the
-				// slot to a read pump and send nothing. This is the arm's
-				// payoff — one responder message per plan, not per chunk.
-				select {
-				case hc.readCh <- readJob{slot: slot, req: req, entry: entry, plan: plan}:
-				case <-cctx.Done():
-					// The request is in hc.pending; takePending re-issues it.
-					hc.stashUnsent(orphans...)
-					return
-				}
-				continue
-			}
-		}
 		wreq := wire.DataRequest{
 			JobID:      f.task.Job.ID,
 			MapID:      int32(req.mapID),
@@ -894,11 +754,8 @@ func (f *fetcher) sendLoop(cctx context.Context, p *hostPeer, hc *hostConn, orph
 			RKey:       hc.ring.RKey(),
 			Tag:        hc.lease.Tag(slot),
 		}
-		if f.readArm && !req.noRead {
-			wreq.Flags = wire.FlagFetchRead
-		}
 		scratch = wreq.EncodeAppend(scratch[:0])
-		if err := hc.lease.Send(cctx, scratch); err != nil {
+		if err := hc.lease.Send(scratch); err != nil {
 			// The request stays pending: takePending re-issues it on the
 			// next connection. (On shutdown nobody re-issues, which is
 			// fine — the merge is going away too.)
@@ -927,7 +784,7 @@ func (f *fetcher) sendLoop(cctx context.Context, p *hostPeer, hc *hostConn, orph
 func (f *fetcher) recvLoop(cctx context.Context, p *hostPeer, hc *hostConn) {
 	counters := f.task.Local.Counters()
 	for {
-		lm, err := hc.lease.Recv(cctx)
+		resp, err := hc.lease.Recv(cctx)
 		if err != nil {
 			if cctx.Err() == nil {
 				hc.abort(fmt.Errorf("core: response from %s: %w", p.host, err))
@@ -935,18 +792,6 @@ func (f *fetcher) recvLoop(cctx context.Context, p *hostPeer, hc *hostConn) {
 			return
 		}
 		hc.touch()
-		if lm.man != nil {
-			if !f.readArm {
-				hc.abort(fmt.Errorf("core: %s: %w: unsolicited read manifest", p.host, errProtocol))
-				return
-			}
-			if err := f.installPlan(cctx, hc, lm.man); err != nil {
-				hc.abort(fmt.Errorf("core: %s: %w", p.host, err))
-				return
-			}
-			continue
-		}
-		resp := lm.resp
 		// The lease's sequence prefix routed the message here; the low
 		// half-word is the ring slot.
 		slot := resp.Tag & 0xffff
@@ -1023,173 +868,6 @@ func (f *fetcher) recvLoop(cctx context.Context, p *hostPeer, hc *hostConn) {
 	}
 }
 
-// installPlan accepts a descriptor manifest answering the request in
-// slot m.Tag: chunk 0 is dispatched to a read pump immediately and the
-// rest become the host's live plan for that map, consumed by planTake as
-// the segment walks forward. The pending entry stays registered — the
-// read pump, not a wire response, completes it. Returns an error (a
-// protocol violation aborting the connection) when the manifest does not
-// match what the slot asked for.
-func (f *fetcher) installPlan(cctx context.Context, hc *hostConn, m *wire.ReadManifest) error {
-	slot := m.Tag & 0xffff
-	hc.mu.Lock()
-	ps, ok := hc.pending[slot]
-	if !ok {
-		hc.mu.Unlock()
-		return fmt.Errorf("%w: manifest for unknown slot tag %d", errProtocol, m.Tag)
-	}
-	if len(m.Chunks) == 0 || m.Chunks[0].Offset != ps.req.offset || int(m.MapID) != ps.req.mapID {
-		hc.mu.Unlock()
-		return fmt.Errorf("%w: manifest does not cover map %d offset %d", errProtocol, ps.req.mapID, ps.req.offset)
-	}
-	plan := &readPlan{mapID: ps.req.mapID, leaseID: m.LeaseID, rkey: m.RKey, chunks: m.Chunks[1:], pending: 1}
-	stale := hc.plans[plan.mapID]
-	if len(plan.chunks) > 0 {
-		hc.plans[plan.mapID] = plan
-	}
-	hc.mu.Unlock()
-	if stale != nil {
-		hc.releaseLease(cctx, hc.detachPlan(stale))
-	}
-	select {
-	case hc.readCh <- readJob{slot: slot, req: ps.req, entry: m.Chunks[0], plan: plan}:
-	case <-cctx.Done():
-	}
-	return nil
-}
-
-// readPump executes one-sided fetches: each job READs its manifest
-// chunk's remote ranges straight into the job's ring slot — the
-// responder is not involved at all — then completes the slot exactly
-// like a wire response would have.
-func (f *fetcher) readPump(cctx context.Context, p *hostPeer, hc *hostConn) {
-	for {
-		select {
-		case <-cctx.Done():
-			return
-		case job := <-hc.readCh:
-			f.executeRead(cctx, p, hc, job)
-		}
-	}
-}
-
-// executeRead issues the RDMA READs for one manifest chunk. Remote
-// ranges are record-boundary descriptors over the pinned cache region;
-// contiguous ones coalesce into a single READ. The local destination is
-// the slot, filled front to back, so the payload lands exactly as an
-// RDMA-written response would have.
-func (f *fetcher) executeRead(cctx context.Context, p *hostPeer, hc *hostConn, job readJob) {
-	entry := job.entry
-	n := int(entry.Bytes)
-	total := 0
-	for _, r := range entry.Ranges {
-		total += int(r.Len)
-	}
-	if n < 0 || n > hc.slotSize || total != n {
-		hc.abort(fmt.Errorf("core: %s: %w: manifest chunk claims %d bytes, ranges sum %d (slot %d)",
-			p.host, errProtocol, n, total, hc.slotSize))
-		return
-	}
-	base := int(job.slot) * hc.slotSize
-	reads := 0
-	var sgl [1]verbs.SGE
-	for i, local := 0, 0; i < len(entry.Ranges); {
-		// Coalesce remote-contiguous descriptors: one READ per span.
-		addr := entry.Ranges[i].Addr
-		span := int(entry.Ranges[i].Len)
-		i++
-		for i < len(entry.Ranges) && entry.Ranges[i].Addr == addr+uint64(span) {
-			span += int(entry.Ranges[i].Len)
-			i++
-		}
-		sgl[0] = verbs.SGE{MR: hc.ring.MR(), Offset: hc.ring.Offset() + base + local, Length: span}
-		if err := hc.lease.ReadSG(cctx, sgl[:], addr, job.plan.rkey); err != nil {
-			f.readFailed(cctx, p, hc, job, err)
-			return
-		}
-		local += span
-		reads++
-	}
-	hc.touch()
-	hc.mu.Lock()
-	ps, ok := hc.pending[job.slot]
-	if ok {
-		delete(hc.pending, job.slot)
-		hc.inFlight--
-	}
-	hc.mu.Unlock()
-	if !ok {
-		// Torn down underneath us; takePending owns the request now.
-		return
-	}
-	counters := f.task.Local.Counters()
-	var payload []byte
-	if n > 0 {
-		payload = getPayload(n, counters)
-		copy(payload, hc.ring.Bytes()[base:base+n])
-	}
-	f.cReadIssued.Add(int64(reads))
-	f.cReadBytes.Add(int64(n))
-	f.cRecvBytes.Add(int64(n))
-	f.nReadIssued.Add(int64(reads))
-	f.nFetchBytes.Add(int64(n))
-	f.nFetchChunks.Add(1)
-	if !hc.progress.Swap(true) {
-		p.health.recordSuccessGen(hc.gen)
-	}
-	ck := chunk{data: payload, eof: entry.EOF, next: entry.Offset + int64(n), off: job.req.offset}
-	if f.prof != nil {
-		ck.span = &obs.FetchSpan{
-			Host: p.host, Reduce: f.task.ReduceID, MapID: job.req.mapID,
-			Offset: job.req.offset, Bytes: n, Retries: job.req.retries,
-			Enqueued: job.req.enq, Sent: ps.issued, Received: time.Now(),
-			SlotWait: ps.slotWait,
-		}
-	}
-	hc.free <- job.slot
-	hc.releaseLease(cctx, hc.planDone(job.plan))
-	deliver(f.runCtx, job.req.seg, ck)
-}
-
-// readFailed handles a failed READ. A remote-access fault means the
-// lease expired or the entry was evicted and its region deregistered —
-// the bytes were never written, nothing is corrupt — so the request
-// falls back to the two-sided path (noRead) without consuming retry
-// budget. Anything else is a transport failure: abort the connection and
-// let the supervisor re-issue everything idempotently.
-func (f *fetcher) readFailed(cctx context.Context, p *hostPeer, hc *hostConn, job readJob, err error) {
-	if cctx.Err() != nil {
-		return // teardown: takePending re-issues the pending request
-	}
-	f.cReadFallbacks.Add(1)
-	hc.releaseLease(cctx, hc.detachPlan(job.plan))
-	hc.releaseLease(cctx, hc.planDone(job.plan))
-	if !errors.Is(err, ucr.ErrRemoteAccess) {
-		hc.abort(fmt.Errorf("core: read from %s: %w", p.host, err))
-		return
-	}
-	hc.mu.Lock()
-	_, ok := hc.pending[job.slot]
-	if ok {
-		delete(hc.pending, job.slot)
-		hc.inFlight--
-	}
-	hc.mu.Unlock()
-	if !ok {
-		return
-	}
-	hc.free <- job.slot
-	req := job.req
-	req.noRead = true
-	select {
-	case p.reqCh <- req:
-	default:
-		// Queue sized for one request per segment; unreachable in
-		// practice, but never block a read pump.
-		go func(r chunkReq) { _ = p.enqueue(f.runCtx, r) }(req)
-	}
-}
-
 // watchdog enforces the per-request deadline: any pending request older
 // than mapred.rdma.request.timeout fails the connection, so a silent
 // peer cannot pin a bounce-buffer slot (and its segment) forever.
@@ -1253,9 +931,6 @@ type fetcher struct {
 	kvPerPacket int
 	slotSize    int
 	depth       int
-	// readArm: fetch requests advertise read-capability and cache-resident
-	// chunks are pulled by one-sided RDMA READ (D9).
-	readArm bool
 
 	// Robustness policy (see DESIGN.md D6).
 	connectRetries int
@@ -1279,20 +954,16 @@ type fetcher struct {
 
 	// Pre-resolved counter handles: the pumps increment these per packet,
 	// so they skip the registry's name lookup.
-	cRetries       *obs.Counter
-	cReconnects    *obs.Counter
-	cDeadline      *obs.Counter
-	cSlotStalls    *obs.Counter
-	cRecvBytes     *obs.Counter
-	cOutPeak       *obs.Counter
-	cReadIssued    *obs.Counter
-	cReadBytes     *obs.Counter
-	cReadFallbacks *obs.Counter
+	cRetries    *obs.Counter
+	cReconnects *obs.Counter
+	cDeadline   *obs.Counter
+	cSlotStalls *obs.Counter
+	cRecvBytes  *obs.Counter
+	cOutPeak    *obs.Counter
 	// Node-local handles (the reducer node's own registry, shipped on
 	// heartbeats); nil no-ops when cluster telemetry is off.
 	nFetchBytes  *obs.Counter
 	nFetchChunks *obs.Counter
-	nReadIssued  *obs.Counter
 	nSlotStalls  *obs.Counter
 
 	mu    sync.Mutex
@@ -1327,7 +998,6 @@ func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 	c := task.Local.Counters()
 	f := &fetcher{
 		task:           task,
-		readArm:        conf.FetchArm() == config.FetchArmRead,
 		overlap:        conf.Bool(config.KeyOverlapReduce),
 		kvPerPacket:    int(conf.Int(config.KeyKVPairsPerPacket)),
 		slotSize:       packet + 64<<10,
@@ -1348,14 +1018,10 @@ func newFetcher(task mapred.ReduceTaskInfo) *fetcher {
 	f.cSlotStalls = c.Handle("shuffle.rdma.slot.stalls")
 	f.cRecvBytes = c.Handle("shuffle.rdma.recv.bytes")
 	f.cOutPeak = c.Handle("shuffle.rdma.outstanding.peak")
-	f.cReadIssued = c.Handle("shuffle.rdma.read.issued")
-	f.cReadBytes = c.Handle("shuffle.rdma.read.bytes")
-	f.cReadFallbacks = c.Handle("shuffle.rdma.read.fallbacks")
 	f.tr = task.Local.TraceFor(task.Job.ID)
 	nreg := task.Local.NodeRegistry()
 	f.nFetchBytes = nreg.Counter("node.fetch.bytes")
 	f.nFetchChunks = nreg.Counter("node.fetch.chunks")
-	f.nReadIssued = nreg.Counter("node.read.issued")
 	f.nSlotStalls = nreg.Counter("node.slot.stalls")
 	return f
 }

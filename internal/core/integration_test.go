@@ -11,6 +11,7 @@ import (
 	"rdmamr/internal/core"
 	"rdmamr/internal/kv"
 	"rdmamr/internal/mapred"
+	"rdmamr/internal/mapred/mapredtest"
 	"rdmamr/internal/workload"
 )
 
@@ -91,25 +92,26 @@ func TestRDMATeraSortEndToEnd(t *testing.T) {
 	if res.Counters["shuffle.rdma.packets"] < 20 {
 		t.Fatalf("suspiciously few packets: %d", res.Counters["shuffle.rdma.packets"])
 	}
+	mapredtest.AssertFaultFree(t, res)
 }
 
 // TestZeroCopyAblationBitForBit is the D8 acceptance run: the same
-// seeded TeraSort executed with the zero-copy responder on and off must
-// produce byte-identical output files. The zerocopy=false arm is the
-// legacy staging responder, so any divergence means the scatter-gather
-// path changed what goes over the wire.
+// seeded TeraSort executed with caching on (cache-resident runs served
+// zero-copy) and off (every run served by the staging copy) must produce
+// byte-identical output files, so the scatter-gather path cannot change
+// what goes over the wire.
 func TestZeroCopyAblationBitForBit(t *testing.T) {
 	outputs := make(map[bool]map[string][]byte)
 	for _, zc := range []bool{true, false} {
 		conf := rdmaConf()
-		conf.SetBool(config.KeyRDMAZeroCopy, zc)
+		conf.SetBool(config.KeyCachingEnabled, zc)
 		c := newRDMACluster(t, 3, conf)
 		res := runTeraSort(t, c, 1500, 6)
 		if zc && res.Counters["shuffle.rdma.zerocopy.hits"] == 0 {
-			t.Fatal("zero-copy arm never served from cache memory")
+			t.Fatal("zero-copy path never served from cache memory")
 		}
 		if !zc && res.Counters["shuffle.rdma.zerocopy.hits"] != 0 {
-			t.Fatal("ablation arm took the zero-copy path")
+			t.Fatal("uncached run took the zero-copy path")
 		}
 		if n := res.Counters["shuffle.rdma.stage.outstanding"]; n != 0 {
 			t.Fatalf("zc=%v: %d staging regions leaked", zc, n)
@@ -135,10 +137,10 @@ func TestZeroCopyAblationBitForBit(t *testing.T) {
 	for path, want := range off {
 		got, ok := on[path]
 		if !ok {
-			t.Fatalf("zero-copy arm missing output file %s", path)
+			t.Fatalf("cached run missing output file %s", path)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("output %s differs between ablation arms", path)
+			t.Fatalf("output %s differs between cached and uncached runs", path)
 		}
 	}
 }
@@ -266,5 +268,22 @@ func TestRDMAMultiWaveReduces(t *testing.T) {
 	res := runTeraSort(t, c, 800, 10)
 	if res.NumReduces != 10 {
 		t.Fatalf("reduces = %d", res.NumReduces)
+	}
+}
+
+// TestIdleTimeoutTeraSortFaultFree: with a connection idle timeout short
+// enough to fire between a job's fetch bursts, quiet connections retire
+// cleanly and redial on demand. A connection retired while its send pump
+// held a request would cancel that send mid-flight, destroying the shared
+// endpoint under every lease on it: a retry, a reconnect, or a stray
+// response in a job nobody injected faults into. The window is narrow,
+// so several jobs run back to back.
+func TestIdleTimeoutTeraSortFaultFree(t *testing.T) {
+	conf := rdmaConf()
+	conf.SetInt(config.KeyRDMAConnIdleTimeout, 20)
+	c := newRDMACluster(t, 4, conf)
+	for job := int64(0); job < 4; job++ {
+		res := runTeraSort(t, c, 20000+job, 8)
+		mapredtest.AssertFaultFree(t, res)
 	}
 }

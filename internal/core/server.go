@@ -31,17 +31,7 @@ type trackerServer struct {
 	prefetcher *MapOutputPrefetcher
 	cacheOn    bool
 	sizeAware  bool
-	zeroCopy   bool
 	packetSize int
-
-	// readArm enables the D9 one-sided fetch arm: read-capable requests
-	// against cache-resident runs are answered with a descriptor manifest
-	// and the copier pulls the payload by RDMA READ — no responder CPU
-	// touches the bytes. Leases bound how long published descriptors pin
-	// cache memory.
-	readArm  bool
-	leaseTTL time.Duration
-	leases   *leaseTable
 
 	// reqQ is the DataRequestQueue: "used to hold all the requests from
 	// ReduceTasks ... until one of the RDMAResponders take it".
@@ -94,17 +84,13 @@ func startTrackerServer(tt *mapred.TaskTracker) (*trackerServer, error) {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	arm := conf.FetchArm()
 	s := &trackerServer{
 		tt:         tt,
 		listener:   l,
 		cache:      NewPrefetchCache(conf.Int(config.KeyPrefetchCacheCap), conf.Get(config.KeyCachePriorityMode), tt.Counters()),
 		cacheOn:    conf.Bool(config.KeyCachingEnabled),
 		sizeAware:  conf.Bool(config.KeySizeAwarePacking),
-		zeroCopy:   arm != config.FetchArmStaging,
 		packetSize: int(conf.Int(config.KeyRDMAPacketBytes)),
-		leaseTTL:   time.Duration(conf.Int(config.KeyRDMAReadLeaseTimeout)) * time.Millisecond,
-		leases:     newLeaseTable(),
 		reqQ:       make(chan *pendingRequest, 1024),
 		ctx:        ctx,
 		cancel:     cancel,
@@ -119,15 +105,10 @@ func startTrackerServer(tt *mapred.TaskTracker) (*trackerServer, error) {
 	s.cache.SetJobQuota(conf.Int(config.KeyJTCacheJobQuota))
 	s.nServedReqs = tt.NodeRegistry().Counter("node.served.requests")
 	s.nServedBytes = tt.NodeRegistry().Counter("node.served.bytes")
-	// The READ arm serves only cache-resident, registered runs; without the
-	// cache there is nothing to publish descriptors against.
-	s.readArm = arm == config.FetchArmRead && s.cacheOn
 	s.prefetcher = NewMapOutputPrefetcher(tt, s.cache, int(conf.Int(config.KeyPrefetchThreads)))
-	if s.zeroCopy && s.cacheOn {
+	if s.cacheOn {
 		// D8: register cache entries at Put time so responders can serve
-		// them by scatter-gather RDMA straight from cache memory. The
-		// ablation arm (zerocopy=false) leaves entries unregistered and
-		// every response goes through the staging copy.
+		// them by scatter-gather RDMA straight from cache memory.
 		s.cache.SetRegistrar(s.mrp)
 	}
 
@@ -135,11 +116,6 @@ func startTrackerServer(tt *mapred.TaskTracker) (*trackerServer, error) {
 	// connection to a pre-established queue, and starts an RDMAReceiver".
 	s.wg.Add(1)
 	go s.acceptLoop()
-
-	if s.readArm {
-		s.wg.Add(1)
-		go s.leaseJanitor()
-	}
 
 	// RDMAResponder pool: "a pool of threads that wait on
 	// DataRequestQueue for incoming requests".
@@ -154,8 +130,8 @@ func startTrackerServer(tt *mapred.TaskTracker) (*trackerServer, error) {
 	return s, nil
 }
 
-// headerBlockBytes sizes the slab carve used to encode response headers
-// and manifests; encodes that overflow it fall back to the heap path.
+// headerBlockBytes sizes the slab carve used to encode response headers;
+// encodes that overflow it fall back to the heap path.
 const headerBlockBytes = 4096
 
 // getHeaderBlock returns a recycled header block, carving a fresh one
@@ -214,17 +190,6 @@ func (s *trackerServer) receiver(ep *ucr.EndPoint) {
 		if err != nil {
 			return // connection closed by copier or server shutdown
 		}
-		if len(msg) > 0 && msg[0] == wire.TypeLeaseRelease {
-			// Copiers retire drained or abandoned read plans eagerly so the
-			// pin drops before the deadline; a release for an
-			// already-expired lease is a harmless miss.
-			if lr, err := wire.DecodeLeaseRelease(msg); err == nil {
-				s.leases.release(lr.LeaseID)
-			} else {
-				s.tt.Counters().Add("shuffle.rdma.bad.requests", 1)
-			}
-			continue
-		}
 		req, err := wire.DecodeDataRequest(msg)
 		if err != nil {
 			s.tt.Counters().Add("shuffle.rdma.bad.requests", 1)
@@ -274,22 +239,13 @@ func (s *trackerServer) serve(p *pendingRequest) {
 		}
 	}
 	defer p.mu.Unlock()
-	// Responder occupancy: wall time a responder spends on this request,
-	// the denominator of the READ arm's "responder CPU per byte" claim.
+	// Responder occupancy: wall time a responder spends on this request.
 	// Two clock reads per request, always on.
 	t0 := time.Now()
 	s.nServedReqs.Add(1)
 	defer func() {
 		s.tt.Counters().Add("shuffle.rdma.responder.busy.ns", time.Since(t0).Nanoseconds())
 	}()
-	if s.readArm && p.req.Flags&wire.FlagFetchRead != 0 {
-		// D9 one-sided arm: answer with a descriptor manifest when the run
-		// is cache-resident and registered; anything else falls through to
-		// the two-sided paths, which own all error reporting.
-		if s.serveManifest(p) {
-			return
-		}
-	}
 	resp := s.buildResponse(p)
 	// release on every exit: returns the staging region to its pool, drops
 	// the zero-copy pin, and recycles descriptor scratch. Centralizing it
@@ -299,7 +255,7 @@ func (s *trackerServer) serve(p *pendingRequest) {
 	if resp.payload != nil || len(resp.sges) > 0 {
 		var err error
 		if len(resp.sges) > 0 {
-			// Zero-copy arm: gather the chunk straight out of the pinned
+			// Zero-copy path: gather the chunk straight out of the pinned
 			// cache region — no staging copy ever happens for these bytes.
 			err = p.ep.WriteSG(s.ctx, resp.sges, p.req.RemoteAddr, p.req.RKey)
 		} else {
@@ -324,22 +280,19 @@ func (s *trackerServer) serve(p *pendingRequest) {
 	s.sendHeader(p.ep, &resp.header)
 }
 
-// sendHeader delivers the response header. With zero-copy enabled it is
-// encoded into a slab-carved header block and gather-sent from there;
-// otherwise (or when an oversized error string overflows the block, or
-// the slab budget is exhausted) it falls back to the allocating encode +
-// staged send.
+// sendHeader delivers the response header: encoded into a slab-carved
+// header block and gather-sent from there, or — when an oversized error
+// string overflows the block or the slab budget is exhausted — through
+// the allocating encode + staged send.
 func (s *trackerServer) sendHeader(ep *ucr.EndPoint, h *wire.DataResponse) {
-	if s.zeroCopy {
-		if blk, err := s.getHeaderBlock(); err == nil {
-			buf := h.EncodeAppend(blk.Bytes()[:0])
-			if len(buf) <= blk.Len() {
-				_ = ep.SendSG(s.ctx, []verbs.SGE{{MR: blk.MR(), Offset: blk.Offset(), Length: len(buf)}})
-				s.putHeaderBlock(blk)
-				return
-			}
+	if blk, err := s.getHeaderBlock(); err == nil {
+		buf := h.EncodeAppend(blk.Bytes()[:0])
+		if len(buf) <= blk.Len() {
+			_ = ep.SendSG(s.ctx, []verbs.SGE{{MR: blk.MR(), Offset: blk.Offset(), Length: len(buf)}})
 			s.putHeaderBlock(blk)
+			return
 		}
+		s.putHeaderBlock(blk)
 	}
 	_ = ep.Send(s.ctx, h.Encode())
 }
@@ -361,9 +314,9 @@ func (s *trackerServer) getScratch() *descScratch {
 
 type builtResponse struct {
 	header  wire.DataResponse
-	payload *stagedPayload // staging arm
-	view    *CacheView     // zero-copy arm: pin on the cache region
-	sges    []verbs.SGE    // zero-copy arm: gather list (aliases scratch)
+	payload *stagedPayload // staging path
+	view    *CacheView     // zero-copy path: pin on the cache region
+	sges    []verbs.SGE    // zero-copy path: gather list (aliases scratch)
 	scratch *descScratch
 }
 
@@ -444,7 +397,7 @@ func (s *trackerServer) buildResponse(p *pendingRequest) builtResponse {
 		return builtResponse{header: header}
 	}
 
-	if s.zeroCopy && s.cacheOn {
+	if s.cacheOn {
 		if resp, ok := s.buildZeroCopy(p, header); ok {
 			s.tt.Counters().Add("shuffle.rdma.zerocopy.hits", 1)
 			return resp
@@ -539,139 +492,6 @@ func (s *trackerServer) buildZeroCopy(p *pendingRequest, header wire.DataRespons
 	return builtResponse{header: header, view: view, sges: sges, scratch: sc}, true
 }
 
-// maxManifestChunks caps one manifest's descriptor plan. The encoded-size
-// budget (the pooled 4096-byte header region) is the binding limit for
-// range-dense runs; the count cap bounds plan length for trivially small
-// chunks so a lease never covers an unbounded amount of future work.
-const maxManifestChunks = 64
-
-// serveManifest attempts the D9 one-sided response: pin the cached run,
-// walk it with the descriptor packer from the requested offset, and send
-// the copier a manifest of (rkey, addr, len) ranges it READs directly —
-// the responder never touches a payload byte and sends exactly one
-// message for the whole plan. The pin is held by a deadline-bounded lease
-// until the copier releases it (or the janitor expires it). Returns false
-// when the request cannot be served this way — cache miss, unregistered
-// body, corrupt framing — and the two-sided paths take over.
-func (s *trackerServer) serveManifest(p *pendingRequest) bool {
-	req := p.req
-	key := CacheKey{JobID: req.JobID, MapID: int(req.MapID), Partition: int(req.ReduceID)}
-	if !s.cache.Contains(key) {
-		return false
-	}
-	view, ok := s.cache.Acquire(key)
-	if !ok {
-		return false
-	}
-	mr := view.MR()
-	if mr == nil {
-		view.Release()
-		return false
-	}
-	run := view.Bytes()
-	start, end, _, err := kv.RunBodySpan(run)
-	if err != nil {
-		view.Release()
-		return false
-	}
-	// Descriptors advertise the entry's revocable window, not the raw slab
-	// region: freeing the body (eviction past the last pin) invalidates
-	// the window, so a READ under an expired lease faults instead of
-	// observing whatever the slab reused those bytes for.
-	m := wire.ReadManifest{
-		MapID: req.MapID, ReduceID: req.ReduceID, Offset: req.Offset,
-		Tag: req.Tag, RKey: view.RKey(),
-	}
-	sc := s.getScratch()
-	defer s.descPool.Put(sc)
-	offset := req.Offset
-	for len(m.Chunks) < maxManifestChunks {
-		res, ranges, err := PackDescriptors(run[start:end], offset, s.packetSize,
-			int(req.MaxBytes), int(req.MaxRecords), s.sizeAware, verbs.MaxSGE, sc.ranges)
-		sc.ranges = ranges
-		if err != nil {
-			if len(m.Chunks) == 0 {
-				// Bad offset or corrupt framing on the very first chunk:
-				// let the two-sided path report it.
-				view.Release()
-				return false
-			}
-			break
-		}
-		ch := wire.ReadChunk{
-			Offset: offset, Bytes: int32(res.Bytes), Records: int32(res.Records), EOF: res.EOF,
-			Ranges: make([]wire.ReadRange, 0, len(ranges)),
-		}
-		for _, r := range ranges {
-			// Range offsets are relative to the record body; the remote
-			// address targets the entry's window, hence the +start rebase.
-			ch.Ranges = append(ch.Ranges, wire.ReadRange{Addr: view.Addr() + uint64(start+r.Off), Len: int32(r.Len)})
-		}
-		m.Chunks = append(m.Chunks, ch)
-		if m.EncodedSize() > 4096 && len(m.Chunks) > 1 {
-			// Over the header-region budget: the copier re-requests from
-			// the first uncovered offset and gets a fresh manifest.
-			m.Chunks = m.Chunks[:len(m.Chunks)-1]
-			break
-		}
-		offset += int64(res.Bytes)
-		if res.EOF {
-			break
-		}
-	}
-	m.LeaseID = s.leases.grant(view, s.leaseTTL)
-	if err := s.sendManifest(p.ep, &m); err != nil {
-		// The connection is dying; drop the pin now rather than waiting
-		// out the lease deadline. The copier re-issues after reconnect.
-		s.leases.release(m.LeaseID)
-		return true
-	}
-	s.tt.Counters().Add("shuffle.rdma.read.manifests", 1)
-	return true
-}
-
-// sendManifest delivers a descriptor manifest, gather-sent from a
-// slab-carved header block when the budget allows one.
-func (s *trackerServer) sendManifest(ep *ucr.EndPoint, m *wire.ReadManifest) error {
-	if blk, err := s.getHeaderBlock(); err == nil {
-		buf := m.EncodeAppend(blk.Bytes()[:0])
-		if len(buf) <= blk.Len() {
-			err := ep.SendSG(s.ctx, []verbs.SGE{{MR: blk.MR(), Offset: blk.Offset(), Length: len(buf)}})
-			s.putHeaderBlock(blk)
-			return err
-		}
-		s.putHeaderBlock(blk)
-	}
-	return ep.Send(s.ctx, m.Encode())
-}
-
-// leaseJanitor expires read leases whose copiers went quiet: a dead or
-// wedged peer must not pin cache memory (and its registration) forever.
-func (s *trackerServer) leaseJanitor() {
-	defer s.wg.Done()
-	tick := s.leaseTTL / 4
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	if tick > time.Second {
-		tick = time.Second
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case now := <-t.C:
-			if n := s.leases.expire(now); n > 0 {
-				s.tt.Counters().Add("shuffle.rdma.read.lease.expired", int64(n))
-				s.tt.Events().Append(obs.Event{Type: obs.EvLeaseExpired,
-					Host: s.tt.Host(), Cause: fmt.Sprintf("%d read leases past TTL %v", n, s.leaseTTL)})
-			}
-		}
-	}
-}
-
 // lookup resolves a partition: PrefetchCache when enabled (demand-missing
 // partitions are fetched from disk and queued for priority re-caching),
 // or directly from disk.
@@ -745,8 +565,8 @@ func (s *trackerServer) Close() error {
 	for blk := range s.hdrBlocks {
 		blk.Free()
 	}
-	// With receivers and the janitor stopped, no new leases can appear;
-	// drop whatever pins remain so cache regions deregister.
-	s.leases.drain()
+	// The tracker's own fetch side goes with it: its shared connections
+	// to every peer close, so their pumps and QP processors stop.
+	closePlane(s.tt.Device())
 	return nil
 }

@@ -12,11 +12,13 @@ import (
 	"rdmamr/internal/mapred"
 )
 
-// zcConf returns a config with the zero-copy responder explicitly set.
-func zcConf(enabled bool) *config.Config {
+// zcConf returns a config for responder tests. cached selects whether
+// the tracker caches map output: only cache-resident runs are served
+// zero-copy, so an uncached tracker serves every request by staging.
+func zcConf(cached bool) *config.Config {
 	conf := config.New()
 	conf.SetInt(config.KeyBlockSize, 64<<10)
-	conf.SetBool(config.KeyRDMAZeroCopy, enabled)
+	conf.SetBool(config.KeyCachingEnabled, cached)
 	return conf
 }
 
@@ -118,17 +120,16 @@ func TestZeroCopyColdPartitionFallsBackToStaging(t *testing.T) {
 	waitStagesDrained(t, c.Get)
 }
 
-func TestZeroCopyDisabledNeverTakesZeroCopyPath(t *testing.T) {
+func TestUncachedServingNeverTakesZeroCopyPath(t *testing.T) {
 	h := newProtoHarness(t, zcConf(false))
-	info := h.seedOutput(0, 0, bigRecs(6, 2048))
-	prefetchInto(t, h, info, 0)
+	h.seedOutput(0, 0, bigRecs(6, 2048))
 	resp := h.roundTrip(h.request(0, 0, 0, 1024))
 	if resp.Err != "" {
 		t.Fatal(resp.Err)
 	}
 	c := h.cluster.Counters()
 	if c.Get("shuffle.rdma.zerocopy.hits") != 0 || c.Get("shuffle.rdma.zerocopy.pinned.bytes") != 0 {
-		t.Fatal("ablation arm took the zero-copy path")
+		t.Fatal("uncached tracker took the zero-copy path")
 	}
 	waitStagesDrained(t, c.Get)
 }
@@ -158,33 +159,31 @@ func chunkWalk(t *testing.T, h *protoHarness, maxRecords int32) ([]byte, []strin
 	}
 }
 
-// TestZeroCopyBitForBitWithLegacy is the ablation acceptance check: the
-// zero-copy arm and the staging arm produce byte-identical payload
-// streams with identical chunk boundaries, both on cold (fallback/disk)
-// and cache-resident serving.
+// TestZeroCopyBitForBitWithLegacy: a partition walked from the cache
+// (zero-copy scatter-gather) and from an uncached tracker (the legacy
+// staging copy) yields byte-identical payload streams with identical
+// chunk boundaries.
 func TestZeroCopyBitForBitWithLegacy(t *testing.T) {
 	recs := bigRecs(20, 9000)
-	run := func(enabled bool, warm bool) ([]byte, []string) {
-		h := newProtoHarness(t, zcConf(enabled))
-		info := h.seedOutput(0, 0, recs)
-		if warm {
-			prefetchInto(t, h, info, 0)
-		}
-		return chunkWalk(t, h, 7)
+	warm := newProtoHarness(t, zcConf(true))
+	prefetchInto(t, warm, warm.seedOutput(0, 0, recs), 0)
+	zcBytes, zcChunks := chunkWalk(t, warm, 7)
+	cold := newProtoHarness(t, zcConf(false))
+	cold.seedOutput(0, 0, recs)
+	stBytes, stChunks := chunkWalk(t, cold, 7)
+
+	if warm.cluster.Counters().Get("shuffle.rdma.zerocopy.fallbacks") != 0 {
+		t.Fatal("cache-resident walk fell back to staging")
 	}
-	for _, warm := range []bool{false, true} {
-		zcBytes, zcChunks := run(true, warm)
-		stBytes, stChunks := run(false, warm)
-		if !bytes.Equal(zcBytes, stBytes) {
-			t.Fatalf("warm=%v: payload streams differ (%d vs %d bytes)", warm, len(zcBytes), len(stBytes))
-		}
-		if len(zcChunks) != len(stChunks) {
-			t.Fatalf("warm=%v: chunk counts differ: %v vs %v", warm, zcChunks, stChunks)
-		}
-		for i := range zcChunks {
-			if zcChunks[i] != stChunks[i] {
-				t.Fatalf("warm=%v chunk %d: %s vs %s", warm, i, zcChunks[i], stChunks[i])
-			}
+	if !bytes.Equal(zcBytes, stBytes) {
+		t.Fatalf("payload streams differ (%d vs %d bytes)", len(zcBytes), len(stBytes))
+	}
+	if len(zcChunks) != len(stChunks) {
+		t.Fatalf("chunk counts differ: %v vs %v", zcChunks, stChunks)
+	}
+	for i := range zcChunks {
+		if zcChunks[i] != stChunks[i] {
+			t.Fatalf("chunk %d: %s vs %s", i, zcChunks[i], stChunks[i])
 		}
 	}
 }

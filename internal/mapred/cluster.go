@@ -130,7 +130,7 @@ func NewCluster(n int, conf *config.Config, engine ShuffleEngine) (*Cluster, err
 		if telemetry {
 			nodeReg = obs.NewRegistry()
 		}
-		tt.initNodeTelemetry(nodeReg, c.events)
+		tt.initNodeTelemetry(nodeReg)
 		c.trackers = append(c.trackers, tt)
 		srv, err := engine.StartTracker(tt)
 		if err != nil {
@@ -343,7 +343,8 @@ func (c *Cluster) decommission(ti int, host string) {
 	_ = c.server(ti).Close()
 }
 
-// Close shuts down the liveness monitor and the shuffle servers.
+// Close shuts down the liveness monitor and the shuffle servers, then
+// releases every tracker's device.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -363,6 +364,9 @@ func (c *Cluster) Close() {
 	}
 	for _, s := range c.Servers() {
 		_ = s.Close()
+	}
+	for _, tt := range c.trackers {
+		c.fabric.CloseDevice(tt.dev)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"rdmamr/internal/config"
 	"rdmamr/internal/kv"
 	"rdmamr/internal/mapred"
+	"rdmamr/internal/mapred/mapredtest"
 	"rdmamr/internal/shuffle/httpshuffle"
 	"rdmamr/internal/workload"
 )
@@ -82,6 +83,7 @@ func runTeraSort(t *testing.T, c *mapred.Cluster, rows int64, reduces int) *mapr
 	if err := workload.Validate(fs, outDir, kv.BytesComparator, want, true); err != nil {
 		t.Fatalf("TeraValidate: %v", err)
 	}
+	mapredtest.AssertFaultFree(t, res)
 	return res
 }
 

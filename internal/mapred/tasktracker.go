@@ -38,22 +38,18 @@ type TaskTracker struct {
 	// shipper turns nodeReg into per-heartbeat deltas for the
 	// scheduler's ClusterView. Nil when telemetry is off.
 	shipper *obs.DeltaShipper
-	// events is the cluster's shared structured event log (servers
-	// append lease-expiry events through it). Nil when telemetry is off.
-	events *obs.EventLog
 	// Pre-resolved nodeReg handles for the tracker's own hot paths
 	// (nil handles when telemetry is off — free no-ops).
 	nDiskReads   *obs.Counter
 	nMapoutBytes *obs.Counter
 }
 
-// initNodeTelemetry attaches the per-node registry, its delta shipper,
-// and the shared event log, pre-resolving the tracker's own counter
-// handles. Called once by the cluster at construction.
-func (tt *TaskTracker) initNodeTelemetry(reg *obs.Registry, events *obs.EventLog) {
+// initNodeTelemetry attaches the per-node registry and its delta
+// shipper, pre-resolving the tracker's own counter handles. Called once
+// by the cluster at construction.
+func (tt *TaskTracker) initNodeTelemetry(reg *obs.Registry) {
 	tt.nodeReg = reg
 	tt.shipper = obs.NewDeltaShipper(tt.host, reg)
-	tt.events = events
 	tt.nDiskReads = reg.Counter("node.disk.reads")
 	tt.nMapoutBytes = reg.Counter("node.mapout.bytes")
 }
@@ -125,10 +121,6 @@ func (tt *TaskTracker) Trace() *obs.JobTrace {
 // shipped to the scheduler as heartbeat deltas). Nil when cluster
 // telemetry is off — obs handles from a nil registry are free no-ops.
 func (tt *TaskTracker) NodeRegistry() *obs.Registry { return tt.nodeReg }
-
-// Events returns the cluster's structured event log (nil when telemetry
-// is off; Append on nil is a no-op).
-func (tt *TaskTracker) Events() *obs.EventLog { return tt.events }
 
 // Store exposes the node's local disk. Engines read map outputs from here
 // (every Get is accounted disk traffic — the PrefetchCache's reason to

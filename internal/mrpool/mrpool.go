@@ -39,8 +39,8 @@ const blockAlign = 64
 var pools sync.Map // *verbs.Device → *Pool
 
 // For returns the device's pool, creating it on first use. One pool per
-// device for the life of the process: every subsystem on the device
-// allocates (and is accounted) here.
+// device until Drop: every subsystem on the device allocates (and is
+// accounted) here.
 func For(dev *verbs.Device) *Pool {
 	if p, ok := pools.Load(dev); ok {
 		return p.(*Pool)
@@ -48,6 +48,11 @@ func For(dev *verbs.Device) *Pool {
 	p, _ := pools.LoadOrStore(dev, &Pool{dev: dev, slabBytes: DefaultSlabBytes})
 	return p.(*Pool)
 }
+
+// Drop forgets the device's pool so its slabs can be reclaimed once the
+// device is gone. Blocks still outstanding stay valid and free into the
+// dropped pool.
+func Drop(dev *verbs.Device) { pools.Delete(dev) }
 
 // Pool is a per-device slab allocator over registered memory.
 type Pool struct {

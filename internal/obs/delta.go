@@ -93,7 +93,7 @@ type nodeView struct {
 
 // ClusterView merges per-node Deltas into the scheduler's cluster-wide
 // telemetry picture. The per-node ring of recent deltas is the
-// time-series sampler: rates (fetch B/s, READs/s) are computed as
+// time-series sampler: rates (fetch B/s, chunks/s) are computed as
 // sum(window deltas)/sum(window intervals), so they describe the recent
 // past, not the whole job. Nil-safe like every obs recorder.
 type ClusterView struct {

@@ -35,9 +35,6 @@ const (
 	EvAttemptRetried = "attempt.retried"
 	// EvAttemptExhausted: a task ran out of attempts and failed the job.
 	EvAttemptExhausted = "attempt.exhausted"
-	// EvLeaseExpired: a responder expired read leases whose copier went
-	// quiet, unpinning the published cache bytes.
-	EvLeaseExpired = "lease.expired"
 	// EvJobQueued: a submitted job found mapred.jobtracker.max.running
 	// jobs already running and is waiting for admission.
 	EvJobQueued = "job.queued"

@@ -51,7 +51,7 @@ func TestEventLogTailSince(t *testing.T) {
 
 func TestEventLogNilIsDisabled(t *testing.T) {
 	var l *EventLog
-	if seq := l.Append(Event{Type: EvLeaseExpired}); seq != 0 {
+	if seq := l.Append(Event{Type: EvAttemptRetried}); seq != 0 {
 		t.Errorf("nil append returned %d", seq)
 	}
 	if l.Events() != nil || l.Tail(3) != nil || l.Dropped() != 0 || l.Seq() != 0 {

@@ -84,65 +84,6 @@ func FuzzDecodeDataResponse(f *testing.F) {
 	})
 }
 
-func fuzzSeedsManifest() [][]byte {
-	full := sampleManifest().Encode()
-	// Chunk count prefix claiming more chunks than are present.
-	lying := append([]byte{}, full...)
-	lying[33] = 0xff
-	return [][]byte{
-		full,
-		full[:manifestBaseSize], // header only, chunk list missing entirely
-		full[:len(full)-5],      // cut inside the final chunk's ranges
-		full[:12],               // mid-header truncation
-		lying,
-		{TypeDataResponse}, // wrong type
-		{},
-	}
-}
-
-func FuzzDecodeReadManifest(f *testing.F) {
-	for _, s := range fuzzSeedsManifest() {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := DecodeReadManifest(b)
-		if err != nil {
-			return
-		}
-		// The chunk list is length-prefixed: whatever decoded must account
-		// for every declared chunk and range, and survive a re-encode
-		// round trip exactly.
-		again, err := DecodeReadManifest(m.Encode())
-		if err != nil {
-			t.Fatalf("re-decode of valid manifest failed: %v", err)
-		}
-		if !manifestsEqual(again, m) {
-			t.Fatalf("manifest not a fixpoint: %+v vs %+v", m, again)
-		}
-		for i := range m.Chunks {
-			if len(m.Chunks[i].Ranges) > 255 {
-				t.Fatalf("chunk %d decoded %d ranges past the uint8 prefix", i, len(m.Chunks[i].Ranges))
-			}
-		}
-	})
-}
-
-func FuzzDecodeLeaseRelease(f *testing.F) {
-	f.Add((&LeaseRelease{LeaseID: 7}).Encode())
-	f.Add([]byte{TypeLeaseRelease})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		l, err := DecodeLeaseRelease(b)
-		if err != nil {
-			return
-		}
-		again, err := DecodeLeaseRelease(l.Encode())
-		if err != nil || *again != *l {
-			t.Fatalf("lease release not a fixpoint: %+v vs %+v (%v)", l, again, err)
-		}
-	})
-}
-
 // FuzzTakeString exercises the shared length-prefixed string reader with
 // adversarial prefixes: it must never slice past the buffer.
 func FuzzTakeString(f *testing.F) {

@@ -18,21 +18,6 @@ import (
 const (
 	TypeDataRequest  = 0x01
 	TypeDataResponse = 0x02
-	// TypeReadManifest answers a read-capable DataRequest with descriptor
-	// ranges the copier RDMA-READs itself (the one-sided fetch arm).
-	TypeReadManifest = 0x03
-	// TypeLeaseRelease returns a manifest's lease early, letting the
-	// responder unpin the cache body before the deadline expires.
-	TypeLeaseRelease = 0x04
-)
-
-// DataRequest flag bits (the Flags tail extension).
-const (
-	// FlagFetchRead advertises that the requester understands
-	// ReadManifest responses and can fetch payloads by one-sided RDMA
-	// READ. Responders never send a manifest to a peer that did not set
-	// it, so pre-READ copiers keep receiving plain DataResponses.
-	FlagFetchRead uint32 = 1 << 0
 )
 
 // Errors.
@@ -62,10 +47,6 @@ type DataRequest struct {
 	RemoteAddr uint64
 	RKey       uint32
 	Tag        uint32
-	// Flags carries capability bits (FlagFetchRead). Tail extension:
-	// decoders default to 0 for messages from older peers, which reads as
-	// "no extra capabilities" — exactly what an old peer has.
-	Flags uint32
 }
 
 // Encode serializes the request.
@@ -87,7 +68,6 @@ func (r *DataRequest) EncodeAppend(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, r.RemoteAddr)
 	buf = binary.LittleEndian.AppendUint32(buf, r.RKey)
 	buf = binary.LittleEndian.AppendUint32(buf, r.Tag)
-	buf = binary.LittleEndian.AppendUint32(buf, r.Flags)
 	return buf
 }
 
@@ -112,13 +92,9 @@ func DecodeDataRequest(b []byte) (*DataRequest, error) {
 	r.MaxRecords = int32(binary.LittleEndian.Uint32(b[20:24]))
 	r.RemoteAddr = binary.LittleEndian.Uint64(b[24:32])
 	r.RKey = binary.LittleEndian.Uint32(b[32:36])
-	// Tag and Flags are tail extensions: absent in messages from older
-	// peers (Tag 0, Flags 0).
+	// Tag is a tail extension: absent in messages from older peers (Tag 0).
 	if len(b) >= 40 {
 		r.Tag = binary.LittleEndian.Uint32(b[36:40])
-	}
-	if len(b) >= 44 {
-		r.Flags = binary.LittleEndian.Uint32(b[40:44])
 	}
 	return r, nil
 }
@@ -221,178 +197,6 @@ func DecodeDataResponse(b []byte) (*DataResponse, error) {
 		r.Transient = rest[16] == 1
 	}
 	return r, nil
-}
-
-// ReadRange is one remote descriptor of a manifest chunk: Len bytes at
-// virtual address Addr inside the region named by the manifest's RKey.
-// Successive ranges of a chunk are contiguous remote spans split at the
-// coalesced record boundaries PackDescriptors emits; the copier uses them
-// to shape its local scatter list.
-type ReadRange struct {
-	Addr uint64
-	Len  int32
-}
-
-// ReadChunk is one packed shuffle chunk described (not carried) by a
-// manifest: the same Offset/Bytes/Records/EOF accounting a DataResponse
-// would report, plus the remote ranges holding the payload. The copier
-// RDMA-READs the ranges into the bounce-buffer slot it would otherwise
-// have advertised for an RDMA write.
-type ReadChunk struct {
-	Offset  int64
-	Bytes   int32
-	Records int32
-	EOF     bool
-	Ranges  []ReadRange
-}
-
-// ReadManifest answers one read-capable DataRequest with descriptors for
-// MANY chunks, starting at the request's offset: one responder send then
-// amortizes across every chunk the copier pulls by one-sided READ — the
-// hot path has no per-chunk responder involvement at all. LeaseID names
-// the pin the responder holds on the cache body; the copier releases it
-// (TypeLeaseRelease) once the plan is consumed, or the responder's
-// deadline expires it. Errors are never reported through a manifest: a
-// request the responder cannot serve this way falls back to the ordinary
-// DataResponse path, which owns error reporting.
-type ReadManifest struct {
-	MapID    int32
-	ReduceID int32
-	Offset   int64 // echo of the request offset (== Chunks[0].Offset)
-	Tag      uint32
-	LeaseID  uint64
-	RKey     uint32
-	Chunks   []ReadChunk
-}
-
-// Encode serializes the manifest.
-func (m *ReadManifest) Encode() []byte {
-	return m.EncodeAppend(make([]byte, 0, m.EncodedSize()))
-}
-
-// EncodedSize returns the exact encoded length (the responder packs
-// manifests against its registered header region's capacity).
-func (m *ReadManifest) EncodedSize() int {
-	n := manifestBaseSize
-	for i := range m.Chunks {
-		n += chunkEncodedSize(&m.Chunks[i])
-	}
-	return n
-}
-
-const manifestBaseSize = 1 + 4 + 4 + 8 + 4 + 8 + 4 + 2
-
-func chunkEncodedSize(c *ReadChunk) int { return 8 + 4 + 4 + 1 + 1 + 12*len(c.Ranges) }
-
-// EncodeAppend serializes the manifest into buf (reusing its capacity) —
-// the responder encodes straight into a pooled registered header region.
-func (m *ReadManifest) EncodeAppend(buf []byte) []byte {
-	buf = append(buf, TypeReadManifest)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.MapID))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.ReduceID))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Offset))
-	buf = binary.LittleEndian.AppendUint32(buf, m.Tag)
-	buf = binary.LittleEndian.AppendUint64(buf, m.LeaseID)
-	buf = binary.LittleEndian.AppendUint32(buf, m.RKey)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(m.Chunks)))
-	for i := range m.Chunks {
-		c := &m.Chunks[i]
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(c.Offset))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Bytes))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Records))
-		if c.EOF {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		buf = append(buf, byte(len(c.Ranges)))
-		for _, rg := range c.Ranges {
-			buf = binary.LittleEndian.AppendUint64(buf, rg.Addr)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(rg.Len))
-		}
-	}
-	return buf
-}
-
-// DecodeReadManifest parses a manifest. The chunk list is length-prefixed
-// and fully validated (a truncated list is an error, not a shorter
-// manifest); bytes past the declared chunks are ignored so future tail
-// extensions decode on today's peers.
-func DecodeReadManifest(b []byte) (*ReadManifest, error) {
-	if len(b) < 1 || b[0] != TypeReadManifest {
-		return nil, ErrBadType
-	}
-	if len(b) < manifestBaseSize {
-		return nil, ErrTruncated
-	}
-	b = b[1:]
-	m := &ReadManifest{}
-	m.MapID = int32(binary.LittleEndian.Uint32(b[0:4]))
-	m.ReduceID = int32(binary.LittleEndian.Uint32(b[4:8]))
-	m.Offset = int64(binary.LittleEndian.Uint64(b[8:16]))
-	m.Tag = binary.LittleEndian.Uint32(b[16:20])
-	m.LeaseID = binary.LittleEndian.Uint64(b[20:28])
-	m.RKey = binary.LittleEndian.Uint32(b[28:32])
-	count := int(binary.LittleEndian.Uint16(b[32:34]))
-	b = b[34:]
-	if count > 0 {
-		m.Chunks = make([]ReadChunk, 0, count)
-	}
-	for i := 0; i < count; i++ {
-		if len(b) < 18 {
-			return nil, fmt.Errorf("%w: chunk %d of %d", ErrTruncated, i, count)
-		}
-		c := ReadChunk{
-			Offset:  int64(binary.LittleEndian.Uint64(b[0:8])),
-			Bytes:   int32(binary.LittleEndian.Uint32(b[8:12])),
-			Records: int32(binary.LittleEndian.Uint32(b[12:16])),
-			EOF:     b[16] == 1,
-		}
-		nr := int(b[17])
-		b = b[18:]
-		if len(b) < 12*nr {
-			return nil, fmt.Errorf("%w: %d ranges in %d bytes", ErrTruncated, nr, len(b))
-		}
-		if nr > 0 {
-			c.Ranges = make([]ReadRange, 0, nr)
-		}
-		for j := 0; j < nr; j++ {
-			c.Ranges = append(c.Ranges, ReadRange{
-				Addr: binary.LittleEndian.Uint64(b[0:8]),
-				Len:  int32(binary.LittleEndian.Uint32(b[8:12])),
-			})
-			b = b[12:]
-		}
-		m.Chunks = append(m.Chunks, c)
-	}
-	return m, nil
-}
-
-// LeaseRelease returns a manifest's lease: the copier consumed (or
-// abandoned) the plan, so the responder can unpin the cache body now
-// instead of waiting for the deadline. Best-effort — a release lost with
-// its connection is covered by expiry.
-type LeaseRelease struct {
-	LeaseID uint64
-}
-
-// Encode serializes the release.
-func (l *LeaseRelease) Encode() []byte {
-	buf := make([]byte, 0, 9)
-	buf = append(buf, TypeLeaseRelease)
-	return binary.LittleEndian.AppendUint64(buf, l.LeaseID)
-}
-
-// DecodeLeaseRelease parses a release message (trailing bytes are
-// tolerated for future tail extensions).
-func DecodeLeaseRelease(b []byte) (*LeaseRelease, error) {
-	if len(b) < 1 || b[0] != TypeLeaseRelease {
-		return nil, ErrBadType
-	}
-	if len(b) < 9 {
-		return nil, ErrTruncated
-	}
-	return &LeaseRelease{LeaseID: binary.LittleEndian.Uint64(b[1:9])}, nil
 }
 
 func appendString(buf []byte, s string) []byte {

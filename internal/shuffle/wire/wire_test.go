@@ -55,11 +55,11 @@ func TestDecodeWrongType(t *testing.T) {
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	// The trailing tag + flags words are optional extensions, so
-	// truncations that only cut into them still decode (as Tag 0,
-	// Flags 0); anything shorter must error.
+	// The trailing tag word is an optional extension, so truncations
+	// that only cut into it still decode (as Tag 0); anything shorter
+	// must error.
 	req := (&DataRequest{JobID: "jobjobjob"}).Encode()
-	for i := 0; i < len(req)-8; i++ {
+	for i := 0; i < len(req)-4; i++ {
 		if _, err := DecodeDataRequest(req[:i]); err == nil {
 			t.Fatalf("truncated request of %d bytes accepted", i)
 		}
@@ -75,25 +75,16 @@ func TestDecodeTruncated(t *testing.T) {
 }
 
 func TestDecodeLegacyWithoutTag(t *testing.T) {
-	// A pre-ring peer encodes neither tag nor flags; decoding must
-	// succeed with both zero and every other field intact.
-	req := &DataRequest{JobID: "legacy", MapID: 3, Offset: 99, RKey: 7, Tag: 42, Flags: FlagFetchRead}
+	// A pre-ring peer encodes no tag; decoding must succeed with Tag 0
+	// and every other field intact.
+	req := &DataRequest{JobID: "legacy", MapID: 3, Offset: 99, RKey: 7, Tag: 42}
 	enc0 := req.Encode()
-	got, err := DecodeDataRequest(enc0[:len(enc0)-8])
+	got, err := DecodeDataRequest(enc0[:len(enc0)-4])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Tag != 0 || got.Flags != 0 || got.MapID != 3 || got.Offset != 99 || got.RKey != 7 {
+	if got.Tag != 0 || got.MapID != 3 || got.Offset != 99 || got.RKey != 7 {
 		t.Fatalf("legacy request decode: %+v", got)
-	}
-	// A ring-era peer that predates capability flags sends the tag but no
-	// flags word: Tag survives, Flags defaults to none.
-	fgot, err := DecodeDataRequest(enc0[:len(enc0)-4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fgot.Tag != 42 || fgot.Flags != 0 {
-		t.Fatalf("tag-only request decode: %+v", fgot)
 	}
 	resp := &DataResponse{MapID: 5, Bytes: 11, EOF: true, Tag: 42, Transient: true}
 	enc := resp.Encode()
@@ -158,99 +149,5 @@ func TestDecodeEmpty(t *testing.T) {
 	}
 	if _, err := DecodeDataResponse(nil); err == nil {
 		t.Fatal("nil accepted")
-	}
-	if _, err := DecodeReadManifest(nil); err == nil {
-		t.Fatal("nil accepted")
-	}
-	if _, err := DecodeLeaseRelease(nil); err == nil {
-		t.Fatal("nil accepted")
-	}
-}
-
-func manifestsEqual(a, b *ReadManifest) bool {
-	if a.MapID != b.MapID || a.ReduceID != b.ReduceID || a.Offset != b.Offset ||
-		a.Tag != b.Tag || a.LeaseID != b.LeaseID || a.RKey != b.RKey || len(a.Chunks) != len(b.Chunks) {
-		return false
-	}
-	for i := range a.Chunks {
-		ca, cb := &a.Chunks[i], &b.Chunks[i]
-		if ca.Offset != cb.Offset || ca.Bytes != cb.Bytes || ca.Records != cb.Records ||
-			ca.EOF != cb.EOF || len(ca.Ranges) != len(cb.Ranges) {
-			return false
-		}
-		for j := range ca.Ranges {
-			if ca.Ranges[j] != cb.Ranges[j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func sampleManifest() *ReadManifest {
-	return &ReadManifest{
-		MapID: 7, ReduceID: 3, Offset: 4096, Tag: 5, LeaseID: 0xfeedface, RKey: 99,
-		Chunks: []ReadChunk{
-			{Offset: 4096, Bytes: 32 << 10, Records: 400, Ranges: []ReadRange{
-				{Addr: 0x10000, Len: 32 << 10},
-			}},
-			{Offset: 4096 + 32<<10, Bytes: 40000, Records: 500, EOF: true, Ranges: []ReadRange{
-				{Addr: 0x18000, Len: 32 << 10},
-				{Addr: 0x20000, Len: 40000 - 32<<10},
-			}},
-			{Offset: 99, Bytes: 0, EOF: true}, // empty-partition chunk, no ranges
-		},
-	}
-}
-
-func TestReadManifestRoundTrip(t *testing.T) {
-	m := sampleManifest()
-	enc := m.Encode()
-	if len(enc) != m.EncodedSize() {
-		t.Fatalf("EncodedSize %d, encoded %d bytes", m.EncodedSize(), len(enc))
-	}
-	got, err := DecodeReadManifest(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !manifestsEqual(got, m) {
-		t.Fatalf("round trip: %+v != %+v", got, m)
-	}
-	// Trailing bytes past the declared chunks are a future tail extension:
-	// today's decoder must ignore them.
-	ext, err := DecodeReadManifest(append(enc, 0xaa, 0xbb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !manifestsEqual(ext, m) {
-		t.Fatalf("tail-extended decode diverged: %+v", ext)
-	}
-}
-
-func TestReadManifestTruncated(t *testing.T) {
-	enc := sampleManifest().Encode()
-	// Every truncation of a manifest with chunks must error: the chunk
-	// list is length-prefixed, so a cut anywhere inside it is detectable.
-	for i := 0; i < len(enc); i++ {
-		if _, err := DecodeReadManifest(enc[:i]); err == nil {
-			t.Fatalf("truncated manifest of %d/%d bytes accepted", i, len(enc))
-		}
-	}
-	if _, err := DecodeReadManifest((&DataRequest{JobID: "j"}).Encode()); err == nil {
-		t.Fatal("request decoded as manifest")
-	}
-}
-
-func TestLeaseReleaseRoundTrip(t *testing.T) {
-	l := &LeaseRelease{LeaseID: 1<<63 + 12345}
-	got, err := DecodeLeaseRelease(l.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *l {
-		t.Fatalf("round trip: %+v != %+v", got, l)
-	}
-	if _, err := DecodeLeaseRelease(l.Encode()[:8]); err == nil {
-		t.Fatal("truncated release accepted")
 	}
 }

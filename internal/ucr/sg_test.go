@@ -79,34 +79,7 @@ func TestWriteSGGathersIntoRemote(t *testing.T) {
 	}
 }
 
-func TestReadSGScattersFromRemote(t *testing.T) {
-	cep, sep := connected(t)
-	ctx := ctxT(t)
-	src, err := sep.RegisterMemory([]byte("..manifest-payload.."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, err := cep.RegisterMemory(make([]byte, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := cep.RegisterMemory(make([]byte, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = cep.ReadSG(ctx, []verbs.SGE{
-		{MR: d1, Length: 8},
-		{MR: d2, Offset: 2, Length: 8},
-	}, src.Addr()+2, src.RKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := append(append([]byte{}, d1.Bytes()[:8]...), d2.Bytes()[2:10]...); !bytes.Equal(got, []byte("manifest-payload")) {
-		t.Fatalf("scattered read = %q, want %q", got, "manifest-payload")
-	}
-}
-
-func TestReadSGDeadRegionIsRemoteAccess(t *testing.T) {
+func TestRDMAReadDeadRegionIsTransport(t *testing.T) {
 	cep, sep := connected(t)
 	ctx := ctxT(t)
 	src, err := sep.RegisterMemory(make([]byte, 32))
@@ -121,12 +94,9 @@ func TestReadSGDeadRegionIsRemoteAccess(t *testing.T) {
 	if err := src.Deregister(); err != nil {
 		t.Fatal(err)
 	}
-	err = cep.ReadSG(ctx, []verbs.SGE{{MR: dst, Length: 32}}, addr, rkey)
+	err = cep.RDMARead(ctx, verbs.SGE{MR: dst, Length: 32}, addr, rkey)
 	if err == nil {
 		t.Fatal("read from deregistered region succeeded")
-	}
-	if !errors.Is(err, ErrRemoteAccess) {
-		t.Fatalf("error %v does not match ErrRemoteAccess", err)
 	}
 	if !errors.Is(err, ErrTransport) {
 		t.Fatalf("error %v does not match ErrTransport (classifier contract)", err)

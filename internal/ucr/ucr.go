@@ -52,14 +52,6 @@ var (
 	// and worth a reconnect, versus ErrClosed which is an ordinary
 	// shutdown.
 	ErrTransport = errors.New("ucr: transport failure")
-	// ErrRemoteAccess qualifies an ErrTransport from an RDMA operation
-	// whose completion reported a remote protection fault: the rkey was
-	// wrong, the range fell outside the region, or the region was
-	// deregistered (an expired descriptor lease, an evicted cache body).
-	// The connection itself is still healthy — callers that advertise
-	// remote ranges (the one-sided READ arm) key on it to fall back to a
-	// responder-driven path instead of tearing the connection down.
-	ErrRemoteAccess = errors.New("ucr: remote access fault")
 )
 
 // Fabric wraps a verbs.Network with the service registry that stands in
@@ -299,6 +291,9 @@ type devRecv struct {
 	recvCQ *verbs.CQ
 	buf    *mrpool.Block // srqDepth × MaxMessage
 
+	stop    context.CancelFunc // ends the pump (CloseDevice)
+	stopped chan struct{}      // closed when the pump has exited
+
 	mu  sync.Mutex
 	eps map[uint32]*EndPoint // QPN → end-point
 }
@@ -322,19 +317,23 @@ func (f *Fabric) devRecvFor(dev *verbs.Device) (*devRecv, error) {
 	if err != nil {
 		return nil, err
 	}
+	ctx, stop := context.WithCancel(context.Background())
 	dr := &devRecv{
 		dev: dev, srq: srq,
-		recvCQ: dev.CreateCQ(srqDepth + 64),
-		buf:    buf,
-		eps:    make(map[uint32]*EndPoint),
+		recvCQ:  dev.CreateCQ(srqDepth + 64),
+		buf:     buf,
+		stop:    stop,
+		stopped: make(chan struct{}),
+		eps:     make(map[uint32]*EndPoint),
 	}
 	for i := 0; i < srqDepth; i++ {
 		if err := srq.PostRecv(dr.recvWR(uint64(i))); err != nil {
+			stop()
 			buf.Free()
 			return nil, err
 		}
 	}
-	go dr.pump()
+	go dr.pump(ctx)
 	f.devRecvs.Store(dev, dr)
 	return dr, nil
 }
@@ -364,7 +363,26 @@ func (dr *devRecv) lookup(qpn uint32) *EndPoint {
 	return dr.eps[qpn]
 }
 
-// pump drains the shared receive CQ for the life of the device: copies
+// CloseDevice is the inverse of NewDevice: it stops the device's shared
+// receive plane and frees its buffers, destroys the device (and any QP
+// still open on it), and drops its slab pool. Call it once every
+// end-point on the device is closed.
+func (f *Fabric) CloseDevice(dev *verbs.Device) {
+	f.drMu.Lock()
+	v, ok := f.devRecvs.LoadAndDelete(dev)
+	f.drMu.Unlock()
+	if ok {
+		dr := v.(*devRecv)
+		dr.stop()
+		<-dr.stopped
+		dr.srq.Close()
+		dr.buf.Free()
+	}
+	dev.Close()
+	mrpool.Drop(dev)
+}
+
+// pump drains the shared receive CQ until CloseDevice stops it: copies
 // payloads out, immediately re-posts the SRQ buffer so peers rarely see
 // receiver-not-ready, and routes each message to the end-point whose
 // QPN the completion carries. Completions for QPs that already closed
@@ -374,8 +392,8 @@ func (dr *devRecv) lookup(qpn uint32) *EndPoint {
 // When the plane itself dies (CQ torn down, SRQ refusing reposts) every
 // registered end-point is failed so Recv callers unwind immediately
 // instead of blocking until their contexts expire.
-func (dr *devRecv) pump() {
-	ctx := context.Background()
+func (dr *devRecv) pump(ctx context.Context) {
+	defer close(dr.stopped)
 	for {
 		wc, err := dr.recvCQ.Wait(ctx)
 		if err != nil {
@@ -415,6 +433,7 @@ func (dr *devRecv) pump() {
 		select {
 		case ep.msgs <- payload:
 		case <-ep.closed:
+		case <-ctx.Done():
 		}
 	}
 }
@@ -662,17 +681,6 @@ func (ep *EndPoint) RDMARead(ctx context.Context, sge verbs.SGE, raddr uint64, r
 	return ep.rdma(ctx, verbs.SendWR{Opcode: verbs.OpRDMARead, SGE: sge, RemoteAddr: raddr, RKey: rkey})
 }
 
-// ReadSG fetches the remote bytes at (raddr, rkey) by one RDMA READ,
-// scattering them across the local SGL in order — the one-sided fetch
-// arm: the copier pulls a descriptor-advertised chunk straight into its
-// ring region, split at the record-boundary ranges the manifest carried,
-// with no responder involvement. A READ whose completion reports a
-// remote protection fault (expired lease, evicted body, bad rkey)
-// returns an error matching both ErrRemoteAccess and ErrTransport.
-func (ep *EndPoint) ReadSG(ctx context.Context, sgl []verbs.SGE, raddr uint64, rkey uint32) error {
-	return ep.rdma(ctx, verbs.SendWR{Opcode: verbs.OpRDMARead, SGL: sgl, RemoteAddr: raddr, RKey: rkey})
-}
-
 func (ep *EndPoint) rdma(ctx context.Context, wr verbs.SendWR) error {
 	ep.sendMu.Lock()
 	defer ep.sendMu.Unlock()
@@ -698,14 +706,6 @@ func (ep *EndPoint) rdma(ctx context.Context, wr verbs.SendWR) error {
 		return err
 	}
 	if wc.Status != verbs.WCSuccess {
-		if wc.Status == verbs.WCRemoteAccessErr && !ep.isClosed() {
-			// A remote protection fault on a live connection: the peer's
-			// region vanished or the address/rkey never matched. Still
-			// ErrTransport for the generic transient classifier, but
-			// additionally ErrRemoteAccess so READ-arm callers can fall
-			// back without abandoning the connection.
-			return fmt.Errorf("%w: %w: %v failed: %v", ErrTransport, ErrRemoteAccess, wr.Opcode, wc.Status)
-		}
 		return ep.classify(fmt.Errorf("%v failed: %v", wr.Opcode, wc.Status))
 	}
 	if m != nil {
